@@ -111,8 +111,12 @@ bool parse_header(const std::uint8_t in[kHeaderBytes], std::uint32_t* body_len) 
   return true;
 }
 
+// Both encoders size the frame up front (reserve header + body, then
+// resize to the header) so the appends below never reallocate.
 std::vector<std::uint8_t> encode_request(const RequestFrame& f) {
-  std::vector<std::uint8_t> out(kHeaderBytes);
+  std::vector<std::uint8_t> out;
+  out.reserve(kHeaderBytes + 1 + 4 + 1 + f.model.size() + 4 + 4 * f.row.size());
+  out.resize(kHeaderBytes);
   out.push_back(static_cast<std::uint8_t>(f.priority));
   put_u32(out, f.deadline_ms);
   out.push_back(static_cast<std::uint8_t>(f.model.size()));
@@ -124,13 +128,16 @@ std::vector<std::uint8_t> encode_request(const RequestFrame& f) {
 }
 
 std::vector<std::uint8_t> encode_response(const ResponseFrame& f) {
-  std::vector<std::uint8_t> out(kHeaderBytes);
+  const bool ok = f.status == Status::kOk;
+  const std::size_t len = f.message.size() > 0xffff ? 0xffff : f.message.size();
+  std::vector<std::uint8_t> out;
+  out.reserve(kHeaderBytes + 1 + (ok ? 4 + 4 * f.row.size() : 2 + len));
+  out.resize(kHeaderBytes);
   out.push_back(static_cast<std::uint8_t>(f.status));
-  if (f.status == Status::kOk) {
+  if (ok) {
     put_u32(out, static_cast<std::uint32_t>(f.row.size()));
     for (float v : f.row) put_f32(out, v);
   } else {
-    const std::size_t len = f.message.size() > 0xffff ? 0xffff : f.message.size();
     put_u16(out, static_cast<std::uint16_t>(len));
     out.insert(out.end(), f.message.begin(), f.message.begin() + static_cast<std::ptrdiff_t>(len));
   }

@@ -179,27 +179,29 @@ QuantizedLayerPackage export_conv(const Conv2d& conv) {
 
 namespace {
 
-// Shared body of the gemm-layer paths: quantize the batch, run the packed
-// (or per-call-packing, prepacked == nullptr) integer GEMM, apply bias.
-Tensor gemm_layer_exec(const QuantizedLayerPackage& layer, const Tensor& x2d,
-                       int scale_product_bits, IntGemmStats* stats,
-                       const detail::IntWeightPanels* prepacked) {
-  const QuantizedMatrix acts =
-      quantize_activations_int(x2d, layer.act_spec, layer.act_amax, layer.act_gamma);
-  Tensor y = detail::int_gemm_packed(acts, layer.weights, scale_product_bits, stats, prepacked);
-  if (!layer.bias.empty()) {
-    const std::int64_t rows = y.shape()[0], outs = y.shape()[1];
-    if (static_cast<std::int64_t>(layer.bias.size()) != outs) {
-      throw std::invalid_argument("run_packaged_layer: bias size mismatch");
-    }
-    add_row_bias(y.data(), rows, outs, layer.bias.data());
+// The one body of every packaged-layer path: conv packages on NHWC input
+// stream im2col patch rows, everything else (GEMM layers, and a conv
+// package's 2-D materialized patch matrix) streams its rows in place.
+Tensor layer_exec(const QuantizedLayerPackage& layer, const Tensor& x, int scale_product_bits,
+                  IntGemmStats* stats, const detail::IntWeightPanels* prepacked) {
+  std::optional<ConvGeom> g;
+  if (layer.kind == PackagedLayerKind::kConv && x.shape().rank() == 4) {
+    g = ConvGeom{x.shape()[1], x.shape()[2], x.shape()[3], layer.kernel, layer.stride, layer.pad};
   }
-  return y;
+  return detail::int_stream_packed(x, g ? &*g : nullptr, layer.weights, layer.act_spec,
+                                   layer.act_amax, layer.act_gamma, layer.bias,
+                                   scale_product_bits, stats, prepacked);
 }
 
-Tensor conv_layer_exec(const QuantizedLayerPackage& layer, const Tensor& x4d,
-                       int scale_product_bits, IntGemmStats* stats,
-                       const detail::IntWeightPanels* prepacked) {
+}  // namespace
+
+Tensor run_packaged_layer(const QuantizedLayerPackage& layer, const Tensor& x2d,
+                          int scale_product_bits, IntGemmStats* stats) {
+  return layer_exec(layer, x2d, scale_product_bits, stats, nullptr);
+}
+
+Tensor run_packaged_conv_layer(const QuantizedLayerPackage& layer, const Tensor& x4d,
+                               int scale_product_bits, IntGemmStats* stats) {
   if (layer.kind != PackagedLayerKind::kConv) {
     throw std::invalid_argument("run_packaged_conv_layer: " + layer.name +
                                 " is not a conv package");
@@ -207,28 +209,12 @@ Tensor conv_layer_exec(const QuantizedLayerPackage& layer, const Tensor& x4d,
   if (x4d.shape().rank() != 4) {
     throw std::invalid_argument("run_packaged_conv_layer: input must be NHWC");
   }
-  const ConvGeom g{x4d.shape()[1], x4d.shape()[2], x4d.shape()[3], layer.kernel, layer.stride,
-                   layer.pad};
-  return detail::int_conv_packed(x4d, g, layer.weights, layer.act_spec, layer.act_amax,
-                                 layer.act_gamma, layer.bias, scale_product_bits, stats,
-                                 prepacked);
-}
-
-}  // namespace
-
-Tensor run_packaged_layer(const QuantizedLayerPackage& layer, const Tensor& x2d,
-                          int scale_product_bits, IntGemmStats* stats) {
-  return gemm_layer_exec(layer, x2d, scale_product_bits, stats, nullptr);
-}
-
-Tensor run_packaged_conv_layer(const QuantizedLayerPackage& layer, const Tensor& x4d,
-                               int scale_product_bits, IntGemmStats* stats) {
-  return conv_layer_exec(layer, x4d, scale_product_bits, stats, nullptr);
+  return layer_exec(layer, x4d, scale_product_bits, stats, nullptr);
 }
 
 IntLayerPrimitive::IntLayerPrimitive(const QuantizedLayerPackage& layer) : layer_(&layer) {
-  // Panels are packed with the ACT operand's layout, exactly as
-  // int_gemm/int_conv would per call (packaged layers copy the weight
+  // Panels are packed with the ACT operand's layout, exactly as the
+  // per-call paths would pack them (packaged layers copy the weight
   // vector geometry onto act_spec, so the two agree by construction).
   const VectorLayout layout = layer.act_spec.layout(layer.weights.cols());
   // Only the int32-exact packed row loop consumes panels; operands wide
@@ -240,13 +226,7 @@ IntLayerPrimitive::IntLayerPrimitive(const QuantizedLayerPackage& layer) : layer
 }
 
 Tensor IntLayerPrimitive::execute(const Tensor& x, const IntExecContext& ctx) const {
-  const detail::IntWeightPanels* pp = panels_ ? &*panels_ : nullptr;
-  // Conv packages execute spatially on NHWC batches; their 2-D form (the
-  // materialized patch matrix) stays available for the reference oracle.
-  if (layer_->kind == PackagedLayerKind::kConv && x.shape().rank() == 4) {
-    return conv_layer_exec(*layer_, x, ctx.scale_product_bits, ctx.stats, pp);
-  }
-  return gemm_layer_exec(*layer_, x, ctx.scale_product_bits, ctx.stats, pp);
+  return layer_exec(*layer_, x, ctx.scale_product_bits, ctx.stats, panels_ ? &*panels_ : nullptr);
 }
 
 const char* IntLayerPrimitive::op_name() const {

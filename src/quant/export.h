@@ -4,7 +4,7 @@
 // and the activation calibration constants (amax, gamma) the PPU needs.
 // The package round-trips through util/Archive, and QuantizedModelRunner
 // executes inference entirely through the bit-accurate integer datapath
-// (hw/int_gemm) — what a real VS-Quant deployment would ship.
+// (quant/) — what a real VS-Quant deployment would ship.
 #pragma once
 
 #include <map>
@@ -152,8 +152,8 @@ struct IntExecContext {
 // replaced the IntWeightPanels* parameters that used to thread through
 // run_packaged_* and the runner). Layers whose operand widths exceed
 // int32-exact accumulation resolve to the int64 reference loop instead
-// (no panels; bit-identical, packs per call inside int_gemm). The bound
-// package entry must outlive the primitive.
+// (no panels; bit-identical). The bound package entry must outlive the
+// primitive.
 //
 // Before load-time packing existed, every serving request re-packed every
 // layer's panels; at batch 1 the pack writes about as many elements as
@@ -166,9 +166,11 @@ class IntLayerPrimitive {
   explicit IntLayerPrimitive(const QuantizedLayerPackage& layer);
 
   // x: [rows, features] for a GEMM layer (for conv packages this 2-D form
-  // is the *materialized* patch matrix — the reference path), NHWC
-  // [N, H, W, C] for a conv layer. Applies the layer op and its bias;
-  // program-level ReLU stays with the runner.
+  // is the materialized patch matrix), NHWC [N, H, W, C] for a conv layer.
+  // Either way the rows stream through the one panel row loop
+  // (quant/int_kernel.h), each quantized just before its MACs: GEMM rows
+  // are read in place, conv rows are im2col patch rows. Applies the layer
+  // op and its bias; program-level ReLU stays with the runner.
   Tensor execute(const Tensor& x, const IntExecContext& ctx = {}) const;
 
   const QuantizedLayerPackage& layer() const { return *layer_; }
@@ -194,10 +196,9 @@ class IntLayerPrimitive {
 
 // Run one packaged layer on an activation matrix through the integer
 // datapath. scale_product_bits as in int_gemm. For conv packages x2d is
-// the *materialized* patch matrix — the reference path; the runner serves
-// convs through run_packaged_conv_layer instead. Packs panels per call;
-// deployments resolve an IntLayerPrimitive once instead — outputs are
-// bit-identical either way.
+// the materialized patch matrix. Packs panels per call; deployments
+// resolve an IntLayerPrimitive once instead — outputs are bit-identical
+// either way.
 Tensor run_packaged_layer(const QuantizedLayerPackage& layer, const Tensor& x2d,
                           int scale_product_bits = -1, IntGemmStats* stats = nullptr);
 

@@ -1,64 +1,67 @@
 #include "quant/int_conv.h"
 
-#include <algorithm>
-#include <mutex>
-#include <optional>
 #include <stdexcept>
-#include <type_traits>
+#include <string>
 
 #include "quant/int_kernel.h"
 #include "tensor/ops.h"
-#include "util/scratch.h"
-#include "util/thread_pool.h"
 
 namespace vsq {
 namespace {
 
-void check_conv_operands(const Tensor& x, const ConvGeom& g, const QuantizedMatrix& wgt,
-                         const VectorLayout& act_layout) {
-  if (x.shape().rank() != 4 || x.shape()[1] != g.in_h || x.shape()[2] != g.in_w ||
-      x.shape()[3] != g.in_c) {
-    throw std::invalid_argument("int_conv: input shape does not match geometry");
+// Operand checks for both row forms, conv patch rows (g set) or plain
+// [rows, cols] rows, which must reduce over the weight columns. Returns
+// the activation vector layout.
+VectorLayout check_operands(const Tensor& x, const ConvGeom* g, const QuantizedMatrix& wgt,
+                            const QuantSpec& act_spec, const std::vector<float>& bias,
+                            const char* who) {
+  const std::string w(who);
+  if (!act_spec.enabled) throw std::invalid_argument(w + ": activation spec disabled");
+  if (act_spec.fmt.bits > 10) throw std::invalid_argument(w + ": bits > 10 does not fit int16");
+  if (act_spec.granularity == Granularity::kPerVector &&
+      act_spec.scale_dtype != ScaleDtype::kTwoLevelInt) {
+    throw std::invalid_argument(w + ": hardware path requires two-level integer scales");
   }
-  if (wgt.cols() != g.patch_len()) {
-    throw std::invalid_argument("int_conv: weight reduction dim != patch length");
+  const VectorLayout act_layout = act_spec.layout(g ? g->patch_len() : wgt.cols());
+  if (g) {
+    if (x.shape().rank() != 4 || x.shape()[1] != g->in_h || x.shape()[2] != g->in_w ||
+        x.shape()[3] != g->in_c) {
+      throw std::invalid_argument(w + ": input shape does not match geometry");
+    }
+    if (wgt.cols() != g->patch_len()) {
+      throw std::invalid_argument(w + ": weight reduction dim != patch length");
+    }
+    // Vectors must not straddle kernel positions (Conv2d::set_quant's
+    // channel_block = in_c rule): each C-length channel block of the
+    // unrolled patch row carries its own vectors.
+    if (act_layout.block_len() != g->in_c) {
+      throw std::invalid_argument(w + ": layout channel block must equal in_c");
+    }
+  } else if (x.shape().rank() != 2 || x.shape()[1] != wgt.cols()) {
+    throw std::invalid_argument(w + ": input must be [rows, " + std::to_string(wgt.cols()) + "]");
   }
   if (act_layout.vector_size != wgt.layout.vector_size ||
       act_layout.block_len() != wgt.layout.block_len()) {
-    throw std::invalid_argument("int_conv: operand vector layouts differ");
+    throw std::invalid_argument(w + ": operand vector layouts differ");
   }
-  // Vectors must not straddle kernel positions (Conv2d::set_quant's
-  // channel_block = in_c rule): each C-length channel block of the
-  // unrolled patch row carries its own vectors.
-  if (act_layout.block_len() != g.in_c) {
-    throw std::invalid_argument("int_conv: layout channel block must equal in_c");
+  if (!bias.empty() && static_cast<std::int64_t>(bias.size()) != wgt.rows) {
+    throw std::invalid_argument(w + ": bias size mismatch");
   }
+  return act_layout;
 }
 
-void add_bias_rows(float* dst, std::int64_t rows, std::int64_t k_out,
-                   const std::vector<float>& bias) {
-  if (bias.empty()) return;
-  if (static_cast<std::int64_t>(bias.size()) != k_out) {
-    throw std::invalid_argument("int_conv: bias size mismatch");
-  }
-  add_row_bias(dst, rows, k_out, bias.data());
-}
-
-// Shared body of int_conv_reference and the reference fallbacks inside
-// detail::int_conv_packed (which thread a prepacked set through to the
-// materialized int_gemm).
-Tensor conv_reference_packed(const Tensor& x, const ConvGeom& g, const QuantizedMatrix& wgt,
-                             const QuantSpec& act_spec, float act_amax, float act_gamma,
-                             const std::vector<float>& bias, int scale_product_bits,
-                             IntGemmStats* stats, const detail::IntWeightPanels* prepacked) {
-  const VectorLayout act_layout = act_spec.layout(g.patch_len());
-  check_conv_operands(x, g, wgt, act_layout);
-  const std::int64_t n = x.shape()[0], oh = g.out_h(), ow = g.out_w();
-  const Tensor cols = im2col(x, g);
-  const QuantizedMatrix acts = quantize_activations_int(cols, act_spec, act_amax, act_gamma);
+// Materialized path: quantize the whole fp row matrix, int_gemm (which
+// threads a prepacked set through), add bias. The oracle behind
+// int_conv_reference and the fallback for non-row-local or int64-wide
+// operands.
+Tensor materialized(const Tensor& x2d, const QuantizedMatrix& wgt, const QuantSpec& act_spec,
+                    float act_amax, float act_gamma, const std::vector<float>& bias,
+                    int scale_product_bits, IntGemmStats* stats,
+                    const detail::IntWeightPanels* prepacked) {
+  const QuantizedMatrix acts = quantize_activations_int(x2d, act_spec, act_amax, act_gamma);
   Tensor y = detail::int_gemm_packed(acts, wgt, scale_product_bits, stats, prepacked);
-  add_bias_rows(y.data(), n * oh * ow, wgt.rows, bias);
-  return y.reshape(Shape{n, oh, ow, wgt.rows});
+  if (!bias.empty()) add_row_bias(y.data(), y.shape()[0], wgt.rows, bias.data());
+  return y;
 }
 
 }  // namespace
@@ -67,143 +70,49 @@ Tensor int_conv_reference(const Tensor& x, const ConvGeom& g, const QuantizedMat
                           const QuantSpec& act_spec, float act_amax, float act_gamma,
                           const std::vector<float>& bias, int scale_product_bits,
                           IntGemmStats* stats) {
-  return conv_reference_packed(x, g, wgt, act_spec, act_amax, act_gamma, bias,
-                               scale_product_bits, stats, nullptr);
+  check_operands(x, &g, wgt, act_spec, bias, "int_conv");
+  return materialized(im2col(x, g), wgt, act_spec, act_amax, act_gamma, bias,
+                      scale_product_bits, stats, nullptr)
+      .reshape(Shape{x.shape()[0], g.out_h(), g.out_w(), wgt.rows});
 }
 
 Tensor int_conv(const Tensor& x, const ConvGeom& g, const QuantizedMatrix& wgt,
                 const QuantSpec& act_spec, float act_amax, float act_gamma,
                 const std::vector<float>& bias, int scale_product_bits, IntGemmStats* stats) {
-  return detail::int_conv_packed(x, g, wgt, act_spec, act_amax, act_gamma, bias,
-                                 scale_product_bits, stats, nullptr);
+  return detail::int_stream_packed(x, &g, wgt, act_spec, act_amax, act_gamma, bias,
+                                   scale_product_bits, stats, nullptr);
 }
 
 namespace detail {
 
-Tensor int_conv_packed(const Tensor& x, const ConvGeom& g, const QuantizedMatrix& wgt,
-                       const QuantSpec& act_spec, float act_amax, float act_gamma,
-                       const std::vector<float>& bias, int scale_product_bits,
-                       IntGemmStats* stats, const IntWeightPanels* prepacked) {
-  if (!act_spec.enabled) throw std::invalid_argument("int_conv: activation spec disabled");
-  const std::int64_t plen = g.patch_len();
-  const VectorLayout act_layout = act_spec.layout(plen);
-  check_conv_operands(x, g, wgt, act_layout);
-  if (act_spec.fmt.bits > 10) {
-    throw std::invalid_argument("int_conv: bits > 10 does not fit int16");
-  }
-
-  if (!bias.empty() && static_cast<std::int64_t>(bias.size()) != wgt.rows) {
-    throw std::invalid_argument("int_conv: bias size mismatch");
-  }
-
-  const bool per_vector = act_spec.granularity == Granularity::kPerVector;
-  if (per_vector && act_spec.scale_dtype != ScaleDtype::kTwoLevelInt) {
-    throw std::invalid_argument("int_conv: hardware path requires two-level integer scales");
-  }
+Tensor int_stream_packed(const Tensor& x, const ConvGeom* g, const QuantizedMatrix& wgt,
+                         const QuantSpec& act_spec, float act_amax, float act_gamma,
+                         const std::vector<float>& bias, int scale_product_bits,
+                         IntGemmStats* stats, const IntWeightPanels* prepacked) {
+  const char* who = g ? "int_conv" : "int_gemm";
+  const VectorLayout act_layout = check_operands(x, g, wgt, act_spec, bias, who);
+  const std::int64_t k_out = wgt.rows;
+  const Shape out_shape = g ? Shape{x.shape()[0], g->out_h(), g->out_w(), k_out}
+                            : Shape{x.shape()[0], k_out};
   // Dynamic per-tensor activation amax is a whole-matrix statistic — not
-  // computable from a streamed tile. Exported packages never use it
-  // (coarse activations calibrate statically); route the corner case
-  // through the materialized reference.
-  if (!per_vector && act_spec.dynamic) {
-    return conv_reference_packed(x, g, wgt, act_spec, act_amax, act_gamma, bias,
-                                 scale_product_bits, stats, prepacked);
+  // computable from a streamed row. Exported packages never use it (coarse
+  // activations calibrate statically); route the corner case, and operand
+  // widths beyond int32-exact accumulation (checked before packing, so the
+  // int64 loop never pays for a discarded pack), through the materialized
+  // path.
+  if ((act_spec.granularity != Granularity::kPerVector && act_spec.dynamic) ||
+      !int32_dot_exact(act_spec.fmt, wgt.fmt, act_layout)) {
+    return materialized(g ? im2col(x, *g) : x, wgt, act_spec, act_amax, act_gamma, bias,
+                        scale_product_bits, stats, prepacked)
+        .reshape(out_shape);
   }
 
-  // int32-exactness checked before packing: the int64 reference fallback
-  // (which packs inside int_gemm) must not pay for a discarded pack here.
-  if (!int32_dot_exact(act_spec.fmt, wgt.fmt, act_layout)) {
-    return conv_reference_packed(x, g, wgt, act_spec, act_amax, act_gamma, bias,
-                                 scale_product_bits, stats, prepacked);
-  }
-
-  const std::int64_t n = x.shape()[0], oh = g.out_h(), ow = g.out_w();
-  const std::int64_t rows = n * oh * ow, k_out = wgt.rows;
-  Tensor out(Shape{n, oh, ow, k_out});
+  Tensor out(out_shape);
+  const std::int64_t rows = g ? x.shape()[0] * g->out_h() * g->out_w() : x.shape()[0];
   if (rows == 0 || k_out == 0) return out;
-
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  ScratchRegion region(arena);
-  std::optional<IntWeightPanels> local_panels;
-  if (prepacked != nullptr && !prepacked->matches(wgt, act_layout, act_spec.fmt)) {
-    throw std::invalid_argument("int_conv: prepacked panels do not match the operands");
-  }
-  if (prepacked == nullptr) {
-    local_panels.emplace(wgt, act_layout, IntActAttrs::of(act_spec), arena);
-    if (stats) ++stats->panels_packed;
-  }
-  const IntWeightPanels& panels = prepacked ? *prepacked : *local_panels;
-
-  int full_bits = 0;
-  if (per_vector) full_bits += act_spec.scale_fmt.bits;
-  if (wgt.two_level) full_bits += wgt.two_level->scale_fmt.bits;
-
-  // Coarse activations: one static scale is both the quantizer and the
-  // outer de-scaling factor, exactly as quantize_activations_int builds
-  // them. Per-vector: the row's outer factor is the calibrated gamma.
-  const float coarse_scale = per_vector ? 0.0f : scale_from_amax(act_amax, act_spec.fmt);
-  const float aout = per_vector ? act_gamma : coarse_scale;
-  const std::int64_t vpr = act_layout.vectors_per_row();
-  float* dst = out.data();
-  const float* src = x.data();
-
-  // Per-chunk stat accumulation merged under a (cold) mutex.
-  std::mutex stats_mu;
-
-  const std::size_t grain = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, k_out * plen)));
-
-  const auto row_loop = [&]<bool kStats>(std::size_t rb, std::size_t re,
-                                         std::bool_constant<kStats>) {
-    ScratchArena& ta = ScratchArena::thread_local_arena();
-    ScratchRegion tr(ta);
-    // Per-thread tile workspace: one fp patch row, its quantized image and
-    // scales, and the panel dot-product buffer — a few KiB total,
-    // regardless of how large the virtual cols matrix would be.
-    auto* frow = ta.alloc_n<float>(static_cast<std::size_t>(plen));
-    auto* qrow = ta.alloc_n<std::int16_t>(static_cast<std::size_t>(plen));
-    auto* sqrow = ta.alloc_n<std::uint16_t>(static_cast<std::size_t>(vpr));
-    auto* dp = ta.alloc_n<std::int32_t>(static_cast<std::size_t>(vpr * kIntPanelCols));
-    std::uint8_t* u8row =
-        panels.needs_u8_row()
-            ? ta.alloc_n<std::uint8_t>(static_cast<std::size_t>(panels.u8_row_len()))
-            : nullptr;
-    IntRowStats t;
-    for (std::size_t r = rb; r < re; ++r) {
-      const auto ri = static_cast<std::int64_t>(r);
-      im2col_rows(src, g, ri, ri + 1, frow, plen);
-      if (per_vector) {
-        quantize_row_two_level(frow, act_layout, act_spec.fmt, act_spec.scale_fmt, act_gamma,
-                               qrow, sqrow);
-      } else {
-        for (std::int64_t c = 0; c < plen; ++c) {
-          qrow[c] = static_cast<std::int16_t>(quantize_value(frow[c], coarse_scale,
-                                                             act_spec.fmt));
-        }
-      }
-      float* drow = dst + ri * k_out;
-      panels.run_row<kStats>(qrow, per_vector ? sqrow : nullptr, aout, drow, full_bits,
-                             scale_product_bits, dp, u8row, t);
-      if (!bias.empty()) {
-        for (std::int64_t k = 0; k < k_out; ++k) drow[k] += bias[static_cast<std::size_t>(k)];
-      }
-    }
-    if constexpr (kStats) {
-      std::lock_guard lock(stats_mu);
-      t.merge_into(*stats);
-    }
-  };
-
-  if (stats) {
-    parallel_for(
-        0, static_cast<std::size_t>(rows),
-        [&](std::size_t rb, std::size_t re) { row_loop(rb, re, std::bool_constant<true>{}); },
-        grain);
-  } else {
-    parallel_for(
-        0, static_cast<std::size_t>(rows),
-        [&](std::size_t rb, std::size_t re) { row_loop(rb, re, std::bool_constant<false>{}); },
-        grain);
-  }
+  run_panel_rows(IntRowSource(x.data(), g, rows, act_layout, act_spec, act_amax, act_gamma),
+                 wgt, bias.empty() ? nullptr : bias.data(), scale_product_bits, stats,
+                 prepacked, who, out.data());
   return out;
 }
 

@@ -1,12 +1,12 @@
 // Integer convolution through the per-vector datapath: the conv runs as
 // the same vector-MAC arithmetic as int_gemm, but the quantized activation
 // operand is synthesized patch-row by patch-row from the NHWC input — the
-// PPU pass (quantize_row_two_level) and the packed-weight row loop
-// (quant/int_kernel.h) stream over tiles of the virtual im2col matrix, so
-// neither the fp cols matrix nor its quantized image ever exists at full
-// size. Outputs are bit-identical to materializing im2col(x), quantizing
-// it with quantize_activations_int and running int_gemm (the reference
-// below), and each output row depends only on its own image, so batched
+// panel row loop (quant/int_kernel.h) quantizes each im2col patch row
+// (quantize_row_two_level) just before its MACs, so neither the fp cols
+// matrix nor its quantized image ever exists at full size. Outputs are
+// bit-identical to materializing im2col(x), quantizing it with
+// quantize_activations_int and running int_gemm (the reference below),
+// and each output row depends only on its own image, so batched
 // execution is bit-identical to single-sample execution.
 //
 // Layout rule (Conv2d::set_quant): per-vector scales must not straddle
@@ -48,15 +48,22 @@ Tensor int_conv_reference(const Tensor& x, const ConvGeom& g, const QuantizedMat
 
 namespace detail {
 
-// Prepacked entry point behind int_conv, for resolved primitives
-// (IntLayerPrimitive): a weight-panel set built from `wgt` with the
-// patch-row activation layout skips the per-call pack (both on the tiled
-// path and inside the materialized reference's int_gemm). Bit-identical
-// either way; a mismatched set throws std::invalid_argument.
-Tensor int_conv_packed(const Tensor& x, const ConvGeom& g, const QuantizedMatrix& wgt,
-                       const QuantSpec& act_spec, float act_amax, float act_gamma,
-                       const std::vector<float>& bias, int scale_product_bits,
-                       IntGemmStats* stats, const IntWeightPanels* prepacked);
+// Streaming entry point behind int_conv and every packaged layer
+// (IntLayerPrimitive::execute, run_packaged_*): fp activation rows go
+// through the panel row loop (quant/int_kernel.h), each quantized by the
+// layer's act spec just before its MACs, and bias is added per row.
+// g != nullptr: x is NHWC matching *g, the rows are its im2col patch rows
+// and the result is [N, OH, OW, K]. g == nullptr: x is [rows, cols], rows
+// are read in place and the result is [rows, K]. `prepacked`, when
+// non-null, must have been built from `wgt` under the act layout (else
+// std::invalid_argument) and replaces the per-call pack. Operand widths
+// beyond int32-exact accumulation and dynamic per-tensor activations take
+// the materialized path (quantize_activations_int -> int_gemm -> bias);
+// outputs are bit-identical either way.
+Tensor int_stream_packed(const Tensor& x, const ConvGeom* g, const QuantizedMatrix& wgt,
+                         const QuantSpec& act_spec, float act_amax, float act_gamma,
+                         const std::vector<float>& bias, int scale_product_bits,
+                         IntGemmStats* stats, const IntWeightPanels* prepacked);
 
 }  // namespace detail
 

@@ -1,15 +1,11 @@
 #include "quant/int_gemm.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
-#include <type_traits>
 
 #include "quant/int_kernel.h"
-#include "util/scratch.h"
 #include "util/thread_pool.h"
 
 namespace vsq {
@@ -24,8 +20,52 @@ namespace {
 // could exceed int32 (never hit by paper configs, but bit-exactness must
 // not depend on operand range). Identical arithmetic, int64 throughout.
 void int_gemm_wide(const QuantizedMatrix& act, const QuantizedMatrix& wgt,
-                   int scale_product_bits, int full_bits, float* dst, std::int64_t rows,
-                   std::int64_t k_out, IntGemmStats* stats);
+                   int scale_product_bits, float* dst, IntGemmStats* stats) {
+  const std::int64_t rows = act.rows, k_out = wgt.rows, cols = act.cols();
+  // Width of the full scale product in bits, for MSB-keeping rounding.
+  int full_bits = 0;
+  if (act.two_level) full_bits += act.two_level->scale_fmt.bits;
+  if (wgt.two_level) full_bits += wgt.two_level->scale_fmt.bits;
+  const VectorLayout& layout = act.layout;
+  const std::int64_t vpr = layout.vectors_per_row();
+  std::mutex stats_mu;
+
+  parallel_for(0, static_cast<std::size_t>(rows), [&](std::size_t rb, std::size_t re) {
+    detail::IntRowStats t;
+    for (std::size_t r = rb; r < re; ++r) {
+      const auto ri = static_cast<std::int64_t>(r);
+      const std::int16_t* arow = act.q.data() + ri * cols;
+      for (std::int64_t k = 0; k < k_out; ++k) {
+        const std::int16_t* wrow = wgt.q.data() + k * cols;
+        std::int64_t acc = 0;  // accumulation collector (2N+log2V+2M wide)
+        for (std::int64_t v = 0; v < vpr; ++v) {
+          const auto [c0, c1] = layout.col_range(v);
+          std::int64_t dp = 0;  // 2N+log2V-wide dot product
+          for (std::int64_t c = c0; c < c1; ++c) {
+            dp += static_cast<std::int64_t>(arow[c]) * wrow[c];
+          }
+          std::uint32_t sp = act.int_scale(ri, v) * wgt.int_scale(k, v);
+          sp = round_scale_product(sp, full_bits, scale_product_bits);
+          acc += dp * static_cast<std::int64_t>(sp);
+          ++t.vec_ops;
+          if (sp == 0) {
+            ++t.zero_sp;
+          } else if (dp == 0) {
+            ++t.zero_dp;
+          }
+        }
+        t.max_psum = std::max(t.max_psum, std::abs(acc));
+        dst[ri * k_out + k] =
+            static_cast<float>(static_cast<double>(acc) *
+                               static_cast<double>(wgt.outer_scale(k)) * act.outer_scale(ri));
+      }
+    }
+    if (stats) {
+      std::lock_guard lock(stats_mu);
+      t.merge_into(*stats);
+    }
+  });
+}
 
 }  // namespace
 
@@ -44,161 +84,23 @@ Tensor int_gemm_packed(const QuantizedMatrix& act, const QuantizedMatrix& wgt,
       act.layout.block_len() != wgt.layout.block_len()) {
     throw std::invalid_argument("int_gemm: operand vector layouts differ");
   }
-  const std::int64_t rows = act.rows, k_out = wgt.rows, cols = act.cols();
-  const VectorLayout& layout = act.layout;
-  const std::int64_t vpr = layout.vectors_per_row();
-
-  // Width of the full scale product in bits, for MSB-keeping rounding.
-  int full_bits = 0;
-  if (act.two_level) full_bits += act.two_level->scale_fmt.bits;
-  if (wgt.two_level) full_bits += wgt.two_level->scale_fmt.bits;
+  const std::int64_t rows = act.rows, k_out = wgt.rows;
 
   Tensor out(Shape{rows, k_out});
-  float* dst = out.data();
   if (rows == 0 || k_out == 0) return out;
 
   // int32 per-vector accumulation is exact iff the widest possible dot
   // product fits (2N + log2 V bits); otherwise take the int64 path
   // (checked before packing so the fallback never pays for a pack).
-  if (!int32_dot_exact(act.fmt, wgt.fmt, layout)) {
-    int_gemm_wide(act, wgt, scale_product_bits, full_bits, dst, rows, k_out, stats);
+  if (!int32_dot_exact(act.fmt, wgt.fmt, act.layout)) {
+    int_gemm_wide(act, wgt, scale_product_bits, out.data(), stats);
     return out;
   }
-
-  // Prepacked panels (IntLayerPrimitive) skip the per-call pack; otherwise
-  // pack into this call's arena region as before. A prepacked set must
-  // have been built from this exact wgt operand (the panels keep scale
-  // pointers into it) under act's vector geometry — the boundary fields,
-  // not just the vector count, or two layouts with equal vpr but shifted
-  // vector edges would slip through and produce silently wrong scales —
-  // and act's element format, which parameterized kernel resolution.
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  ScratchRegion region(arena);
-  std::optional<IntWeightPanels> local_panels;
-  if (prepacked != nullptr && !prepacked->matches(wgt, layout, act.fmt)) {
-    throw std::invalid_argument("int_gemm: prepacked panels do not match the operands");
-  }
-  if (prepacked == nullptr) {
-    local_panels.emplace(wgt, layout, IntActAttrs::of(act), arena);
-    if (stats) {
-      ++stats->panels_packed;
-      if (local_panels->materialized_sub_byte()) ++stats->panels_unpacked_materialized;
-    }
-  }
-  const IntWeightPanels& panels = prepacked ? *prepacked : *local_panels;
-
-  // Per-chunk stat accumulation merged under a (cold) mutex.
-  std::mutex stats_mu;
-
-  // Grain: keep at least ~16k multiply-adds per chunk so small GEMMs do
-  // not pay per-chunk dispatch.
-  const std::size_t grain =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, k_out * cols)));
-
-  // The row loop is instantiated twice: with and without the datapath
-  // gating counters. The counters cost a branch and an increment per
-  // scale product — measurable on the serving hot path, where callers
-  // pass stats == nullptr. Arithmetic (and therefore output) is identical
-  // in both instantiations.
-  const auto row_loop = [&]<bool kStats>(std::size_t rb, std::size_t re,
-                                         std::bool_constant<kStats>) {
-    ScratchArena& ta = ScratchArena::thread_local_arena();
-    ScratchRegion tr(ta);
-    auto* dp = ta.alloc_n<std::int32_t>(static_cast<std::size_t>(vpr * kIntPanelCols));
-    std::uint8_t* u8row =
-        panels.needs_u8_row()
-            ? ta.alloc_n<std::uint8_t>(static_cast<std::size_t>(panels.u8_row_len()))
-            : nullptr;
-    IntRowStats t;
-    for (std::size_t r = rb; r < re; ++r) {
-      const auto ri = static_cast<std::int64_t>(r);
-      const std::int16_t* arow = act.q.data() + ri * cols;
-      const std::uint16_t* asq =
-          act.two_level ? act.two_level->sq.data() + ri * vpr : nullptr;
-      panels.run_row<kStats>(arow, asq, act.outer_scale(ri), dst + ri * k_out, full_bits,
-                             scale_product_bits, dp, u8row, t);
-    }
-    if constexpr (kStats) {
-      std::lock_guard lock(stats_mu);
-      t.merge_into(*stats);
-    }
-  };
-
-  if (stats) {
-    parallel_for(
-        0, static_cast<std::size_t>(rows),
-        [&](std::size_t rb, std::size_t re) { row_loop(rb, re, std::bool_constant<true>{}); },
-        grain);
-  } else {
-    parallel_for(
-        0, static_cast<std::size_t>(rows),
-        [&](std::size_t rb, std::size_t re) { row_loop(rb, re, std::bool_constant<false>{}); },
-        grain);
-  }
+  run_panel_rows(IntRowSource(act), wgt, nullptr, scale_product_bits, stats, prepacked,
+                 "int_gemm", out.data());
   return out;
 }
 
 }  // namespace detail
-
-namespace {
-
-void int_gemm_wide(const QuantizedMatrix& act, const QuantizedMatrix& wgt,
-                   int scale_product_bits, int full_bits, float* dst, std::int64_t rows,
-                   std::int64_t k_out, IntGemmStats* stats) {
-  const std::int64_t cols = act.cols();
-  const VectorLayout& layout = act.layout;
-  const std::int64_t vpr = layout.vectors_per_row();
-
-  std::atomic<std::uint64_t> vec_ops{0}, zero_sp{0}, zero_dp{0};
-  std::atomic<std::int64_t> max_psum{0};
-
-  parallel_for(0, static_cast<std::size_t>(rows), [&](std::size_t rb, std::size_t re) {
-    std::uint64_t t_vec = 0, t_zsp = 0, t_zdp = 0;
-    std::int64_t t_max = 0;
-    for (std::size_t r = rb; r < re; ++r) {
-      const auto ri = static_cast<std::int64_t>(r);
-      const std::int16_t* arow = act.q.data() + ri * cols;
-      for (std::int64_t k = 0; k < k_out; ++k) {
-        const std::int16_t* wrow = wgt.q.data() + k * cols;
-        std::int64_t acc = 0;  // accumulation collector (2N+log2V+2M wide)
-        for (std::int64_t v = 0; v < vpr; ++v) {
-          const auto [c0, c1] = layout.col_range(v);
-          std::int64_t dp = 0;  // 2N+log2V-wide dot product
-          for (std::int64_t c = c0; c < c1; ++c) {
-            dp += static_cast<std::int64_t>(arow[c]) * wrow[c];
-          }
-          std::uint32_t sp = act.int_scale(ri, v) * wgt.int_scale(k, v);
-          sp = round_scale_product(sp, full_bits, scale_product_bits);
-          acc += dp * static_cast<std::int64_t>(sp);
-          ++t_vec;
-          if (sp == 0) {
-            ++t_zsp;
-          } else if (dp == 0) {
-            ++t_zdp;
-          }
-        }
-        t_max = std::max(t_max, std::abs(acc));
-        dst[ri * k_out + k] =
-            static_cast<float>(static_cast<double>(acc) *
-                               static_cast<double>(wgt.outer_scale(k)) * act.outer_scale(ri));
-      }
-    }
-    vec_ops.fetch_add(t_vec, std::memory_order_relaxed);
-    zero_sp.fetch_add(t_zsp, std::memory_order_relaxed);
-    zero_dp.fetch_add(t_zdp, std::memory_order_relaxed);
-    std::int64_t prev = max_psum.load(std::memory_order_relaxed);
-    while (prev < t_max && !max_psum.compare_exchange_weak(prev, t_max)) {
-    }
-  });
-
-  if (stats) {
-    stats->vector_ops += vec_ops.load();
-    stats->zero_scale_products += zero_sp.load();
-    stats->zero_dot_products += zero_dp.load();
-    stats->max_abs_psum = std::max(stats->max_abs_psum, max_psum.load());
-  }
-}
-
-}  // namespace
 
 }  // namespace vsq

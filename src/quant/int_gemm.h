@@ -62,8 +62,9 @@ Tensor int_gemm(const QuantizedMatrix& act, const QuantizedMatrix& wgt, int scal
 
 namespace detail {
 
-// Prepacked entry point behind int_gemm, for resolved primitives
-// (IntLayerPrimitive) and the kernel-registry tests. `prepacked` must have
+// Prepacked entry point behind int_gemm, for the materialized path of
+// resolved primitives (IntLayerPrimitive: dynamic per-tensor activations)
+// and the kernel-registry tests. `prepacked` must have
 // been built from this exact `wgt` object under act's vector layout and
 // element format (IntWeightPanels::matches; a mismatch throws
 // std::invalid_argument) — when supplied, the per-call pack is skipped

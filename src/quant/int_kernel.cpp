@@ -1,6 +1,13 @@
 #include "quant/int_kernel.h"
 
 #include <atomic>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+
+#include "util/thread_pool.h"
 
 namespace vsq::detail {
 namespace {
@@ -278,6 +285,134 @@ void IntWeightPanels::pack(const QuantizedMatrix& wgt, const VectorLayout& layou
   pw_ = pw;
   psq_ = psq;
   ncomp_ = ncomp;
+}
+
+void run_panel_rows(const IntRowSource& src, const QuantizedMatrix& wgt, const float* bias,
+                    int scale_product_bits, IntGemmStats* stats,
+                    const IntWeightPanels* prepacked, const char* who, float* dst) {
+  const VectorLayout& layout = src.layout;
+  const IntActAttrs attrs = src.act ? IntActAttrs::of(*src.act) : IntActAttrs::of(*src.spec);
+  const std::int64_t rows = src.rows, k_out = wgt.rows, cols = layout.cols;
+  const std::int64_t vpr = layout.vectors_per_row();
+
+  // Prepacked panels (IntLayerPrimitive) skip the per-call pack; otherwise
+  // pack into this call's arena region. A prepacked set must have been
+  // built from this exact wgt operand (the panels keep scale pointers into
+  // it) under the rows' vector geometry — the boundary fields, not just
+  // the vector count, or two layouts with equal vpr but shifted vector
+  // edges would slip through and produce silently wrong scales — and
+  // their element format, which parameterized kernel resolution.
+  ScratchArena& arena = ScratchArena::thread_local_arena();
+  ScratchRegion region(arena);
+  std::optional<IntWeightPanels> local_panels;
+  if (prepacked != nullptr && !prepacked->matches(wgt, layout, attrs.fmt)) {
+    throw std::invalid_argument(std::string(who) +
+                                ": prepacked panels do not match the operands");
+  }
+  if (prepacked == nullptr) {
+    local_panels.emplace(wgt, layout, attrs, arena);
+    if (stats) {
+      ++stats->panels_packed;
+      if (local_panels->materialized_sub_byte()) ++stats->panels_unpacked_materialized;
+    }
+  }
+  const IntWeightPanels& panels = prepacked ? *prepacked : *local_panels;
+
+  // Width of the full scale product in bits, for MSB-keeping rounding.
+  const int full_bits = attrs.scale_bits + (wgt.two_level ? wgt.two_level->scale_fmt.bits : 0);
+
+  // Fp sources: coarse activations use one static scale as both the
+  // quantizer and the outer de-scaling factor, exactly as
+  // quantize_activations_int builds them; per-vector rows de-scale by the
+  // calibrated gamma.
+  const bool per_vector = src.act ? src.act->two_level.has_value()
+                                  : src.spec->granularity == Granularity::kPerVector;
+  const float coarse_scale =
+      src.act || per_vector ? 0.0f : scale_from_amax(src.act_amax, src.spec->fmt);
+  const float fp_aout = per_vector ? src.act_gamma : coarse_scale;
+
+  // Per-chunk stat accumulation merged under a (cold) mutex.
+  std::mutex stats_mu;
+
+  // Grain: keep at least ~16k multiply-adds per chunk so small GEMMs do
+  // not pay per-chunk dispatch.
+  const std::size_t grain =
+      static_cast<std::size_t>(std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, k_out * cols)));
+
+  // The row loop is instantiated twice: with and without the datapath
+  // gating counters. The counters cost a branch and an increment per
+  // scale product — measurable on the serving hot path, where callers
+  // pass stats == nullptr. Arithmetic (and therefore output) is identical
+  // in both instantiations.
+  const auto row_loop = [&]<bool kStats>(std::size_t rb, std::size_t re,
+                                         std::bool_constant<kStats>) {
+    ScratchArena& ta = ScratchArena::thread_local_arena();
+    ScratchRegion tr(ta);
+    // Per-thread row workspace: the panel dot-product buffer, the VNNI row
+    // image, and for fp sources one quantized row with its scales (plus
+    // one fp patch row for conv) — a few KiB at most, however many rows
+    // the call streams.
+    auto* dp = ta.alloc_n<std::int32_t>(static_cast<std::size_t>(vpr * kIntPanelCols));
+    std::uint8_t* u8row =
+        panels.needs_u8_row()
+            ? ta.alloc_n<std::uint8_t>(static_cast<std::size_t>(panels.u8_row_len()))
+            : nullptr;
+    std::int16_t* qrow = nullptr;
+    std::uint16_t* sqrow = nullptr;
+    float* frow = nullptr;
+    if (src.act == nullptr) {
+      qrow = ta.alloc_n<std::int16_t>(static_cast<std::size_t>(cols));
+      sqrow = ta.alloc_n<std::uint16_t>(static_cast<std::size_t>(vpr));
+      if (src.conv) frow = ta.alloc_n<float>(static_cast<std::size_t>(cols));
+    }
+    IntRowStats t;
+    for (std::size_t r = rb; r < re; ++r) {
+      const auto ri = static_cast<std::int64_t>(r);
+      const std::int16_t* arow = qrow;
+      const std::uint16_t* asq = per_vector ? sqrow : nullptr;
+      float aout = fp_aout;
+      if (src.act) {
+        arow = src.act->q.data() + ri * cols;
+        asq = per_vector ? src.act->two_level->sq.data() + ri * vpr : nullptr;
+        aout = src.act->outer_scale(ri);
+      } else {
+        const float* xrow = src.x + ri * cols;
+        if (src.conv) {
+          im2col_rows(src.x, *src.conv, ri, ri + 1, frow, cols);
+          xrow = frow;
+        }
+        if (per_vector) {
+          quantize_row_two_level(xrow, layout, src.spec->fmt, src.spec->scale_fmt,
+                                 src.act_gamma, qrow, sqrow);
+        } else {
+          for (std::int64_t c = 0; c < cols; ++c) {
+            qrow[c] =
+                static_cast<std::int16_t>(quantize_value(xrow[c], coarse_scale, src.spec->fmt));
+          }
+        }
+      }
+      float* drow = dst + ri * k_out;
+      panels.run_row<kStats>(arow, asq, aout, drow, full_bits, scale_product_bits, dp, u8row, t);
+      if (bias) {
+        for (std::int64_t k = 0; k < k_out; ++k) drow[k] += bias[k];
+      }
+    }
+    if constexpr (kStats) {
+      std::lock_guard lock(stats_mu);
+      t.merge_into(*stats);
+    }
+  };
+
+  const auto run = [&](auto with_stats) {
+    parallel_for(
+        0, static_cast<std::size_t>(rows),
+        [&](std::size_t rb, std::size_t re) { row_loop(rb, re, with_stats); }, grain);
+  };
+  if (stats) {
+    run(std::true_type{});
+  } else {
+    run(std::false_type{});
+  }
 }
 
 }  // namespace vsq::detail

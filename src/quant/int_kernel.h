@@ -1,10 +1,12 @@
-// Internal building blocks of the bit-accurate integer datapath, shared by
-// int_gemm (whole-matrix operands) and int_conv (patch rows streamed from
-// the tiled im2col generator): the packed weight panels with their
-// registry-resolved microkernels (kernels/registry.h), and the per-row
-// accumulate-and-scale loop. Everything here computes EXACTLY the
-// arithmetic of int_gemm's reference loop — callers differ only in where
-// the activation rows come from.
+// Internal building blocks of the bit-accurate integer datapath: the
+// packed weight panels with their registry-resolved microkernels
+// (kernels/registry.h), and the one panel row loop (run_panel_rows) that
+// int_gemm, int_conv and every packaged layer stream through. Its callers
+// differ only in where the activation rows come from (IntRowSource):
+// prequantized QuantizedMatrix rows, fp rows read in place, or im2col
+// patch rows — the fp sources quantized row by row just before the row's
+// MACs. Everything here computes EXACTLY the arithmetic of int_gemm's
+// int64 reference loop.
 #pragma once
 
 #include <algorithm>
@@ -15,6 +17,7 @@
 #include "kernels/registry.h"
 #include "quant/int_gemm.h"
 #include "quant/quantized_tensor.h"
+#include "tensor/im2col.h"
 #include "util/scratch.h"
 
 namespace vsq::detail {
@@ -31,8 +34,9 @@ using VecRange = kernels::VecRange;
 // style: the element format decides kernel eligibility (the VNNI tier
 // needs operands that fit 8 bits) and the scale width feeds the combined
 // full_bits of the scale product. Built from either the concrete operand
-// (int_gemm) or the layer's spec (int_conv / package load) — the two agree
-// by construction, quantize_activations_int materializes exactly the spec.
+// (prequantized rows) or the layer's spec (fp rows / package load) — the
+// two agree by construction, quantize_activations_int materializes exactly
+// the spec.
 struct IntActAttrs {
   QuantFormat fmt{8, true};
   int scale_bits = 0;  // per-vector integer scale width; 0 = coarse bypass
@@ -159,10 +163,9 @@ class IntWeightPanels {
   }
 
   // True when this pack may stand in for a per-call pack of `wgt` under
-  // `layout` with `act_fmt` activations — the single validation every
-  // prepacked-accepting entry point (detail::int_gemm_packed /
-  // int_conv_packed) uses, so the identity contract cannot drift between
-  // them. The act format participates because the resolved implementation
+  // `layout` with `act_fmt` activations — the single validation of
+  // run_panel_rows, which every prepacked-accepting entry point goes
+  // through. The act format participates because the resolved implementation
   // (and for VNNI, the exactness guarantee itself) depends on it.
   bool matches(const QuantizedMatrix& wgt, const VectorLayout& layout,
                const QuantFormat& act_fmt) const {
@@ -283,6 +286,43 @@ class IntWeightPanels {
   // pointers above stay valid when the IntWeightPanels itself is moved.
   std::unique_ptr<ScratchArena> own_;
 };
+
+// Where the panel row loop's activation rows come from. Prequantized rows
+// (int_gemm's QuantizedMatrix) stream as stored. Fp rows — a
+// [rows, layout.cols] matrix read in place, or with `conv` set the im2col
+// patch rows of an NHWC input — are quantized into thread scratch as the
+// loop reaches them, the PPU's pass over each produced row: the two-level
+// per-vector quantizer (quantize_row_two_level, Eq. 7g-7h) or the static
+// coarse scale. Either way a row is exactly the row
+// quantize_activations_int would materialize, so every source computes
+// bit-identical outputs. Dynamic per-tensor activations are not row-local
+// (their amax spans the whole matrix) and must arrive prequantized.
+struct IntRowSource {
+  explicit IntRowSource(const QuantizedMatrix& a) : act(&a), rows(a.rows), layout(a.layout) {}
+  IntRowSource(const float* x_, const ConvGeom* conv_, std::int64_t rows_,
+               const VectorLayout& layout_, const QuantSpec& spec_, float amax, float gamma)
+      : x(x_), conv(conv_), rows(rows_), layout(layout_), spec(&spec_), act_amax(amax),
+        act_gamma(gamma) {}
+
+  const QuantizedMatrix* act = nullptr;  // prequantized rows, else fp rows
+  const float* x = nullptr;
+  const ConvGeom* conv = nullptr;
+  std::int64_t rows = 0;
+  VectorLayout layout;
+  const QuantSpec* spec = nullptr;
+  float act_amax = 0.0f, act_gamma = 0.0f;
+};
+
+// The panel row loop: every row of `src` through the packed weight panels
+// into dst[src.rows, wgt.rows], plus bias[k] per output when bias is
+// non-null. prepacked: load-time panels, which must match (wgt, layout,
+// act format) or std::invalid_argument names `who`; nullptr packs per call
+// in the caller's arena (counted in stats->panels_packed and, for
+// byte-width sub-byte weights, panels_unpacked_materialized). Rows split
+// across the thread pool; callers have already checked int32_dot_exact.
+void run_panel_rows(const IntRowSource& src, const QuantizedMatrix& wgt, const float* bias,
+                    int scale_product_bits, IntGemmStats* stats,
+                    const IntWeightPanels* prepacked, const char* who, float* dst);
 
 // Process-wide count of IntWeightPanels constructions (relaxed atomic).
 // The serving tests assert that steady-state traffic leaves this flat:

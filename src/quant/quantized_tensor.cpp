@@ -72,8 +72,10 @@ QuantizedMatrix quantize_activations_int(const Tensor& x2d, const QuantSpec& spe
     // per vector (amax -> sq -> integer elements): arithmetic is
     // element-for-element identical to amax_per_vector + to_scale_set +
     // quantize_to_int, without the per-element scale lookups and the
-    // intermediate scale-set allocations — this is the per-request hot
-    // path of the serving engine.
+    // intermediate scale-set allocations. Serving never materializes this
+    // matrix: its layers quantize row by row inside the panel row loop
+    // (quant/int_kernel.h) through the same quantize_row_two_level; this
+    // whole-matrix form is the oracle and the dynamic per-tensor path.
     TwoLevelScales tl;
     tl.scale_fmt = spec.scale_fmt;
     tl.coarse_axis = CoarseAxis::kPerTensor;

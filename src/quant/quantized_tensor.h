@@ -65,9 +65,9 @@ QuantizedMatrix quantize_activations_int(const Tensor& x2d, const QuantSpec& spe
 // activations (amax -> sq -> integer elements, Eq. 7g-7h): one activation
 // row of layout.cols floats into qrow int16 elements and sqrow
 // (vectors_per_row) integer scales. quantize_activations_int runs this per
-// matrix row and int_conv per streamed im2col patch row — sharing the one
-// definition is what makes the tiled conv datapath bit-identical to the
-// materialized path.
+// matrix row and the panel row loop (quant/int_kernel.h) per streamed fp
+// or im2col patch row — sharing the one definition is what makes the
+// streamed datapath bit-identical to the materialized path.
 void quantize_row_two_level(const float* xrow, const VectorLayout& layout,
                             const QuantFormat& fmt, const QuantFormat& scale_fmt, float gamma,
                             std::int16_t* qrow, std::uint16_t* sqrow);

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <tuple>
 
+#include "kernels/isa.h"
+#include "quant/export.h"
 #include "quant/int_gemm.h"
 #include "tensor/gemm.h"
+#include "tensor/im2col.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
@@ -245,6 +251,145 @@ TEST(QuantizedMatrix, RejectsSingleLevelFpScalesOnHardwarePath) {
   QuantSpec s = pvaw_weight_spec(4, 6);
   s.scale_dtype = ScaleDtype::kFp32;
   EXPECT_THROW(quantize_weights_int(w, s), std::invalid_argument);
+}
+
+// ---- Streamed packaged GEMM layers vs the materialized oracle ----
+//
+// IntLayerPrimitive::execute quantizes each fp activation row inside the
+// panel row loop, just before its MACs. The oracle quantizes the whole
+// operand up front with quantize_activations_int, runs int_gemm and adds
+// the bias, so no streamed quantization is involved; the two must agree
+// bit for bit, datapath stats included, on every available ISA tier.
+
+// Scoped VSQ_ISA override; restores the previous value (or unset) on exit.
+class EnvIsa {
+ public:
+  explicit EnvIsa(const char* v) {
+    if (const char* prev = std::getenv("VSQ_ISA")) prev_ = prev;
+    if (v) {
+      setenv("VSQ_ISA", v, 1);
+    } else {
+      unsetenv("VSQ_ISA");
+    }
+  }
+  ~EnvIsa() {
+    if (prev_) {
+      setenv("VSQ_ISA", prev_->c_str(), 1);
+    } else {
+      unsetenv("VSQ_ISA");
+    }
+  }
+  EnvIsa(const EnvIsa&) = delete;
+  EnvIsa& operator=(const EnvIsa&) = delete;
+
+ private:
+  std::optional<std::string> prev_;
+};
+
+bool tier_available(const char* env) {
+  const std::string t = env ? env : "native";
+  if (t == "avx2") return isa::features().avx2;
+  if (t == "avx512_vnni") return isa::features().avx512_vnni;
+  return true;
+}
+
+Tensor materialized_oracle(const QuantizedLayerPackage& l, const Tensor& x2d, int sp_bits,
+                           IntGemmStats* stats) {
+  const QuantizedMatrix aq = quantize_activations_int(x2d, l.act_spec, l.act_amax, l.act_gamma);
+  Tensor y = int_gemm(aq, l.weights, sp_bits, stats);
+  for (std::int64_t r = 0; r < y.shape()[0]; ++r) {
+    for (std::int64_t k = 0; k < y.shape()[1]; ++k) {
+      y.at2(r, k) += l.bias[static_cast<std::size_t>(k)];
+    }
+  }
+  return y;
+}
+
+void expect_same_stats(const IntGemmStats& a, const IntGemmStats& b, const std::string& what) {
+  EXPECT_EQ(a.vector_ops, b.vector_ops) << what;
+  EXPECT_EQ(a.zero_scale_products, b.zero_scale_products) << what;
+  EXPECT_EQ(a.zero_dot_products, b.zero_dot_products) << what;
+  EXPECT_EQ(a.max_abs_psum, b.max_abs_psum) << what;
+}
+
+TEST(StreamedLayer, ExecuteMatchesMaterializedOracleOnEveryTier) {
+  struct Case {
+    const char* name;
+    QuantSpec wspec, aspec;
+    std::int64_t rows, cols, k_out;
+    std::int64_t conv_c;  // > 0: 3x3 conv package fed its 2-D patch matrix
+  };
+  QuantSpec coarse_static = coarse_act_spec(8);
+  QuantSpec coarse_dynamic = coarse_act_spec(8);
+  coarse_dynamic.dynamic = true;
+  QuantSpec unsigned_pv = pvaw_act_spec(4, 6);
+  unsigned_pv.fmt.is_signed = false;
+  // Conv geometry: 5 input channels per kernel position with V = 4, so
+  // every channel block ends in a 1-wide tail vector.
+  QuantSpec conv_w = pvaw_weight_spec(4, 6), conv_a = pvaw_act_spec(4, 6);
+  conv_w.vector_size = conv_a.vector_size = 4;
+  conv_w.channel_block = conv_a.channel_block = 5;
+  const Case cases[] = {
+      {"per_vector_4b", pvaw_weight_spec(4, 6), pvaw_act_spec(4, 6), 7, 37, 11, 0},
+      {"per_vector_8b", pvaw_weight_spec(8, 6), pvaw_act_spec(8, 10), 5, 53, 9, 0},
+      {"per_vector_unsigned", pvaw_weight_spec(3, 4), unsigned_pv, 3, 29, 17, 0},
+      {"coarse_static", coarse_weight_spec(8), coarse_static, 7, 37, 11, 0},
+      {"coarse_static_pv_weights", pvaw_weight_spec(4, 6), coarse_static, 5, 41, 9, 0},
+      {"coarse_dynamic", coarse_weight_spec(8), coarse_dynamic, 7, 37, 11, 0},
+      {"conv_patch_matrix", conv_w, conv_a, 0, 0, 7, 5},
+  };
+  int checked = 0;
+  for (const Case& c : cases) {
+    Rng rng(static_cast<std::uint64_t>(c.cols * 100 + c.k_out));
+    QuantizedLayerPackage l;
+    l.name = c.name;
+    Tensor x;
+    if (c.conv_c > 0) {
+      l.kind = PackagedLayerKind::kConv;
+      l.kernel = 3;
+      l.stride = 1;
+      l.pad = 1;
+      Tensor img(Shape{2, 3, 5, c.conv_c});
+      for (auto& v : img.span()) v = static_cast<float>(rng.normal());
+      x = im2col(img, ConvGeom{3, 5, c.conv_c, 3, 1, 1});
+    } else {
+      x = random_matrix(c.rows, c.cols, rng);
+    }
+    l.weights = quantize_weights_int(random_matrix(c.k_out, x.shape()[1], rng), c.wspec);
+    l.act_spec = c.aspec;
+    // Calibrated below the true max so the clip path is exercised too.
+    l.act_amax = 0.8f * amax_per_tensor(x);
+    l.act_gamma = scale_from_amax(l.act_amax, c.aspec.fmt) /
+                  static_cast<float>(c.aspec.scale_fmt.qmax());
+    for (std::int64_t k = 0; k < c.k_out; ++k) {
+      l.bias.push_back(static_cast<float>(rng.normal(0.0, 0.1)));
+    }
+    for (const char* tier :
+         {"portable", "avx2", "avx512_vnni", static_cast<const char*>(nullptr)}) {
+      if (!tier_available(tier)) continue;
+      EnvIsa e(tier);
+      const IntLayerPrimitive prim(l);
+      for (const int sp_bits : {-1, 4}) {
+        const std::string what = std::string(c.name) + " tier=" + (tier ? tier : "native") +
+                                 " sp_bits=" + std::to_string(sp_bits);
+        IntGemmStats s_oracle, s_stream;
+        const Tensor ref = materialized_oracle(l, x, sp_bits, &s_oracle);
+        const Tensor y = prim.execute(x, IntExecContext{sp_bits, &s_stream});
+        const Tensor y_fast = prim.execute(x, IntExecContext{sp_bits, nullptr});
+        ASSERT_EQ(ref.shape(), y.shape()) << what;
+        ASSERT_EQ(ref.shape(), y_fast.shape()) << what;
+        for (std::int64_t i = 0; i < ref.numel(); ++i) {
+          ASSERT_EQ(ref[i], y[i]) << what << " element " << i;
+          ASSERT_EQ(ref[i], y_fast[i]) << what << " (stats off) element " << i;
+        }
+        expect_same_stats(s_oracle, s_stream, what);
+        EXPECT_GT(s_stream.vector_ops, 0u) << what;
+        EXPECT_EQ(s_stream.panels_packed, 0u) << what;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace

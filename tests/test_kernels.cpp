@@ -6,6 +6,7 @@
 // primitives resolve at load, never on the serving path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -18,6 +19,7 @@
 #include "models/zoo.h"
 #include "quant/amax.h"
 #include "quant/export.h"
+#include "quant/int_conv.h"
 #include "quant/int_gemm.h"
 #include "quant/int_kernel.h"
 #include "quant/quantized_tensor.h"
@@ -602,6 +604,37 @@ TEST(PackedSweep, ConvPackedBitIdenticalToByteWidthPanels) {
     }
   }
   EXPECT_GT(convs, 0);
+}
+
+TEST(PackedSweep, ConvStatsCountByteWidthMaterializationLikeGemm) {
+  // Forced onto byte-width panels, a 4-bit int_conv's per-call pack must
+  // report the sub-byte materialization in its stats sink, exactly as a
+  // 4-bit int_gemm's does.
+  EnvPacked off("0");
+  MacConfig mac = MacConfig::parse("4/8/6/10");
+  mac.act_unsigned = true;
+  const QuantizedModelPackage pkg = tiny_conv_package(mac);
+  const auto it = std::find_if(pkg.layers.begin(), pkg.layers.end(), [](const auto& kv) {
+    return kv.second.kind == PackagedLayerKind::kConv;
+  });
+  ASSERT_NE(it, pkg.layers.end());
+  const QuantizedLayerPackage& l = it->second;
+  ASSERT_EQ(l.weights.fmt.bits, 4);
+  const std::int64_t c = l.conv_in_channels();
+  Tensor x(Shape{1, 6, 6, c});
+  Rng rng(7900);
+  for (auto& v : x.span()) v = static_cast<float>(rng.uniform(-1.5, 1.5));
+  IntGemmStats conv_stats;
+  (void)int_conv(x, ConvGeom{6, 6, c, l.kernel, l.stride, l.pad}, l.weights, l.act_spec,
+                 l.act_amax, l.act_gamma, l.bias, -1, &conv_stats);
+  EXPECT_EQ(conv_stats.panels_packed, 1u);
+  EXPECT_EQ(conv_stats.panels_unpacked_materialized, 1u);
+
+  const GemmOperands ops = make_operands(3, 64, 11, 4, 6, 16, 7901);
+  IntGemmStats gemm_stats;
+  (void)int_gemm(ops.act, ops.wgt, -1, &gemm_stats);
+  EXPECT_EQ(gemm_stats.panels_packed, 1u);
+  EXPECT_EQ(gemm_stats.panels_unpacked_materialized, 1u);
 }
 
 TEST(Vnni, IneligibleOperandsFallBackUnderVnniCap) {

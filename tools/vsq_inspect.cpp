@@ -11,6 +11,7 @@
 // accumulator kernel names — under the current CPU and VSQ_ISA cap.
 //
 //   vsq_inspect --package=artifacts/resnet_int.vsqa [--threads=N] [--kernels]
+#include <exception>
 #include <iostream>
 #include <map>
 
@@ -19,7 +20,9 @@
 #include "util/args.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+// Any exception escaping the tool (a missing or corrupt package, a
+// malformed flag) ends it with a one-line diagnostic and exit code 2.
+int main(int argc, char** argv) try {
   using namespace vsq;
   const Args args(argc, argv);
   if (!apply_threads_flag(args)) return 1;
@@ -151,4 +154,7 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -18,6 +18,7 @@
 // tiny_conv's with conv/residual/pool ops and the input geometry).
 // --model=resnet also attaches the CNN forward program, so the trained
 // ResNetV package serves end-to-end.
+#include <exception>
 #include <iostream>
 
 #include "exp/ptq.h"
@@ -26,7 +27,9 @@
 #include "util/args.h"
 #include "util/rng.h"
 
-int main(int argc, char** argv) {
+// Any exception escaping the tool (a missing or corrupt package, a
+// malformed flag) ends it with a one-line diagnostic and exit code 2.
+int main(int argc, char** argv) try {
   using namespace vsq;
   const Args args(argc, argv);
   if (!apply_threads_flag(args)) return 1;
@@ -79,4 +82,7 @@ int main(int argc, char** argv) {
   std::cout << "exported " << pkg.layers.size() << " layers at config " << mac.str() << " ("
             << mac.granularity_label() << ") -> " << out << "\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -22,6 +22,7 @@
 // stats table reports bucket occupancy and mixed-bucket batches.
 #include <algorithm>
 #include <future>
+#include <exception>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -42,7 +43,9 @@ struct ClientLog {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// Any exception escaping the tool (a missing or corrupt package, a
+// malformed flag) ends it with a one-line diagnostic and exit code 2.
+int main(int argc, char** argv) try {
   using namespace vsq;
   const Args args(argc, argv);
   if (!apply_threads_flag(args)) return 1;
@@ -173,4 +176,7 @@ int main(int argc, char** argv) {
     std::cout << checked << " outputs verified bit-identical to sequential execution\n";
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }

@@ -8,13 +8,16 @@
 // VSQ_THREADS environment variable is the fallback) for reproducible runs
 // on shared machines.
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "exp/experiment_context.h"
 #include "models/zoo.h"
 #include "util/args.h"
 
-int main(int argc, char** argv) {
+// Any exception escaping the tool (a missing or corrupt package, a
+// malformed flag) ends it with a one-line diagnostic and exit code 2.
+int main(int argc, char** argv) try {
   using namespace vsq;
   const Args args(argc, argv);
   if (!apply_threads_flag(args)) return 1;
@@ -46,4 +49,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 2;
 }
